@@ -53,8 +53,8 @@ def git_revision() -> str | None:
     """Short commit hash of the source checkout, or None when unknowable.
 
     Anchored at the package directory (not the caller's cwd) so worker
-    processes and daemons report the revision of the code they actually
-    imported. Cached — at most one subprocess per process lifetime.
+    processes report the revision of the code they actually imported.
+    Cached — at most one subprocess per process lifetime.
     """
     try:
         proc = subprocess.run(

@@ -37,7 +37,6 @@ def run(
     obs=None,
     guard=None,
     topology: str = "mesh",
-    service=None,
 ) -> FigureResult:
     """One row per hysteresis delta (failed cells render as FAILED rows)."""
     scenario = six_app(config=config_for_topology(topology))
@@ -52,8 +51,7 @@ def run(
         for delta in deltas
     ]
     results, report = run_cells_detailed(
-        cells, jobs=jobs, cache=cache, policy=policy, obs=obs,
-        guard=guard, service=service,
+        cells, jobs=jobs, cache=cache, policy=policy, obs=obs, guard=guard
     )
     base_res, delta_results = results[0], results[1:]
     rows = []

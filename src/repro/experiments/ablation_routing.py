@@ -38,7 +38,6 @@ def run(
     obs=None,
     guard=None,
     topology: str = "mesh",
-    service=None,
 ) -> FigureResult:
     """One row per routing algorithm; reductions are RAIR vs RO_RR.
 
@@ -54,8 +53,7 @@ def run(
         for prefix, policy_name in (("RO_RR", "rr"), ("RAIR", "rair"))
     ]
     results, report = run_cells_detailed(
-        cells, jobs=jobs, cache=cache, policy=policy, obs=obs,
-        guard=guard, service=service,
+        cells, jobs=jobs, cache=cache, policy=policy, obs=obs, guard=guard
     )
     it = iter(results)
     value_cols = ("apl_app0_rr", "apl_app0_rair", "red_app0", "red_app1")

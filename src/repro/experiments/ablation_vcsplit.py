@@ -48,7 +48,6 @@ def run(
     obs=None,
     guard=None,
     topology: str = "mesh",
-    service=None,
 ) -> FigureResult:
     """One row per VC split; reductions are vs RO_RR on the same config.
 
@@ -63,8 +62,7 @@ def run(
         cells.append(Cell.for_scenario(SCHEMES["RO_RR"], scenario, effort, seed))
         cells.append(Cell.for_scenario(SCHEMES["RA_RAIR"], scenario, effort, seed))
     results, report = run_cells_detailed(
-        cells, jobs=jobs, cache=cache, policy=policy, obs=obs,
-        guard=guard, service=service,
+        cells, jobs=jobs, cache=cache, policy=policy, obs=obs, guard=guard
     )
     it = iter(results)
     rows = []

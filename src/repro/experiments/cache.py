@@ -38,8 +38,6 @@ __all__ = [
     "CACHE_VERSION",
     "canonicalize",
     "cache_key",
-    "run_to_payload",
-    "run_from_payload",
     "ResultCache",
     "SweepJournal",
 ]
@@ -134,14 +132,6 @@ def _run_from_payload(payload: dict) -> ScenarioRun:
         metrics=RunMetrics.from_dict(metrics) if metrics is not None else None,
         obs=obs,
     )
-
-
-#: public names for the ScenarioRun <-> JSON codec; the sweep service's
-#: wire protocol and job store reuse the cache payload format verbatim,
-#: so a streamed result and a cached result are the same bytes modulo
-#: the HTTP envelope
-run_to_payload = _run_to_payload
-run_from_payload = _run_from_payload
 
 
 class ResultCache:

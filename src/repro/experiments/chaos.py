@@ -32,10 +32,6 @@ Fault modes:
     ``SIGKILL`` only if ``marker`` does not exist yet (created first,
     with ``open(marker, "x")``, so exactly one process dies even when
     attempts race) — a worker crash that pool rebuild + retry must heal.
-``wait_marker``
-    block (polling) until ``marker`` exists, then simulate cleanly — a
-    cell that pauses at a known point so a test can act mid-sweep (kill
-    the daemon, inspect state) and then release it deterministically.
 
 ``marker`` is a caller-owned path; distinct tests must use distinct
 paths. ``cell_id`` only widens the cell key so one chaos sweep can hold
@@ -72,7 +68,6 @@ CHAOS_MODES = (
     "hang",
     "kill",
     "kill_once",
-    "wait_marker",
 )
 
 #: long enough that only deadline enforcement ends a "hang" cell
@@ -109,11 +104,6 @@ def _inject_fault(mode: str, marker: str | None) -> None:
         except FileExistsError:
             return  # someone already died for this cell; heal
         os.kill(os.getpid(), signal.SIGKILL)
-    if mode == "wait_marker":
-        if marker is None:
-            raise ConfigError("chaos mode 'wait_marker' needs a marker path")
-        while not os.path.exists(marker):
-            time.sleep(0.02)
 
 
 def chaos_scenario(

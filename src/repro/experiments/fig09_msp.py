@@ -43,7 +43,6 @@ def run(
     obs=None,
     guard=None,
     topology: str = "mesh",
-    service=None,
 ) -> FigureResult:
     """Run the Fig. 9 sweep; one row per (p, scheme).
 
@@ -58,8 +57,7 @@ def run(
         for key in schemes
     ]
     results, report = run_cells_detailed(
-        cells, jobs=jobs, cache=cache, policy=policy, obs=obs,
-        guard=guard, service=service,
+        cells, jobs=jobs, cache=cache, policy=policy, obs=obs, guard=guard
     )
     it = iter(results)
     rows = []

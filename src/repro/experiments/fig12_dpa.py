@@ -43,7 +43,6 @@ def run(
     obs=None,
     guard=None,
     topology: str = "mesh",
-    service=None,
 ) -> FigureResult:
     """Run both Fig. 12 scenarios; rows carry per-app reduction vs RO_RR.
 
@@ -60,8 +59,7 @@ def run(
         for key in ("RO_RR",) + tuple(schemes)
     ]
     results, report = run_cells_detailed(
-        cells, jobs=jobs, cache=cache, policy=policy, obs=obs,
-        guard=guard, service=service,
+        cells, jobs=jobs, cache=cache, policy=policy, obs=obs, guard=guard
     )
     it = iter(results)
     rows = []

@@ -41,7 +41,6 @@ def run(
     obs=None,
     guard=None,
     topology: str = "mesh",
-    service=None,
 ) -> FigureResult:
     """Run the six-app comparison; rows carry per-app APL reduction vs RO_RR.
 
@@ -56,8 +55,7 @@ def run(
         for key in ("RO_RR",) + tuple(schemes)
     ]
     results, report = run_cells_detailed(
-        cells, jobs=jobs, cache=cache, policy=policy, obs=obs,
-        guard=guard, service=service,
+        cells, jobs=jobs, cache=cache, policy=policy, obs=obs, guard=guard
     )
     base_res, scheme_results = results[0], results[1:]
     apps = sorted(base_res.run.per_app_apl) if base_res.ok else list(range(6))

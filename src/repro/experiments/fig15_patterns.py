@@ -41,7 +41,6 @@ def run(
     obs=None,
     guard=None,
     topology: str = "mesh",
-    service=None,
 ) -> FigureResult:
     """One row per (pattern, scheme) with the average APL reduction vs RO_RR.
 
@@ -61,8 +60,7 @@ def run(
         for key in ("RO_RR",) + tuple(schemes)
     ]
     results, report = run_cells_detailed(
-        cells, jobs=jobs, cache=cache, policy=policy, obs=obs,
-        guard=guard, service=service,
+        cells, jobs=jobs, cache=cache, policy=policy, obs=obs, guard=guard
     )
     it = iter(results)
     rows = []

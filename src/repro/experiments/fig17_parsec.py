@@ -41,7 +41,6 @@ def run(
     obs=None,
     guard=None,
     topology: str = "mesh",
-    service=None,
 ) -> FigureResult:
     """One row per scheme with per-app and average slowdowns.
 
@@ -64,8 +63,7 @@ def run(
         for scenario in (clean, attacked)
     ]
     results, report = run_cells_detailed(
-        cells, jobs=jobs, cache=cache, policy=policy, obs=obs,
-        guard=guard, service=service,
+        cells, jobs=jobs, cache=cache, policy=policy, obs=obs, guard=guard
     )
     it = iter(results)
     slow_cols = [f"slow_{name[:6]}" for name in PARSEC_APP_ORDER]
@@ -107,7 +105,7 @@ def run(
         metrics=report.to_metrics(),
         figure="Figure 17",
         title=(
-            f"APL slowdown under {adversarial_rate} flits/cycle/node "
+            f"APL slowdown under {adversarial_rate:g} flits/cycle/node "
             "adversarial flood (PARSEC-like apps)"
         ),
         columns=columns,

@@ -747,7 +747,6 @@ def run_cells_detailed(
     use_journal: bool = True,
     obs=None,
     guard=None,
-    service=None,
     on_result=None,
 ) -> tuple[list[CellResult], ExecutionReport]:
     """Execute ``cells`` fault-tolerantly; one :class:`CellResult` each.
@@ -771,12 +770,6 @@ def run_cells_detailed(
     figure tables print ``FAILED(Deadlock)`` instead of a generic
     simulator error.
 
-    ``service`` routes the whole sweep through a running sweep-service
-    daemon (:mod:`repro.service`) instead of executing locally: a URL
-    string or :class:`repro.service.client.ServiceSpec` (which adds a
-    priority class). The daemon executes this very function with the
-    same cells, policy, cache, obs, and guard, so results — including
-    cache keys and obs JSONL bytes — are identical to direct execution.
     ``on_result`` is an optional callable invoked with each
     :class:`CellResult` as it is recorded (completion order, resumed
     cells first); it must not raise.
@@ -784,20 +777,6 @@ def run_cells_detailed(
     cells = list(cells)
     if jobs < 1:
         raise ConfigError(f"jobs must be >= 1, got {jobs}")
-    if service is not None:
-        from repro.service.client import run_cells_via_service
-
-        return run_cells_via_service(
-            service,
-            cells,
-            jobs=jobs,
-            cache=cache,
-            policy=policy,
-            use_journal=use_journal,
-            obs=obs,
-            guard=guard,
-            on_result=on_result,
-        )
     policy = policy or FaultPolicy()
     if isinstance(cache, ResultCache):
         cache_dir = str(cache.root)

@@ -28,7 +28,6 @@ __all__ = [
     "policy_from_args",
     "obs_from_args",
     "guard_from_args",
-    "service_from_args",
     "config_for_topology",
     "failed_label",
     "finish",
@@ -61,8 +60,8 @@ def add_common_args(parser: argparse.ArgumentParser) -> argparse.ArgumentParser:
 
     One definition for ``--effort/--seed/--jobs/--cache/--max-attempts/
     --timeout/--cycle-budget/--obs/--obs-sample-period/--topology/--guard/
-    --service/--priority/--version`` — the nine figure CLIs, ``run_all``,
-    and the sweep/steady-state tools all hang off this helper, so a new
+    --version`` — the nine figure CLIs, ``run_all``, and the
+    sweep/steady-state tools all hang off this helper, so a new
     execution-policy flag lands everywhere by being added here once.
     Consume the parsed namespace with :func:`common_from_args`.
     """
@@ -144,22 +143,6 @@ def add_common_args(parser: argparse.ArgumentParser) -> argparse.ArgumentParser:
         "zero overhead, bit-identical results either way)",
     )
     parser.add_argument(
-        "--service",
-        default=None,
-        metavar="URL",
-        help="route the sweep through a running sweep-service daemon "
-        "(python -m repro.service.daemon) at URL instead of executing "
-        "locally; results, cache keys, and obs output are identical "
-        "either way",
-    )
-    parser.add_argument(
-        "--priority",
-        default="normal",
-        choices=("high", "normal", "low"),
-        help="priority class for the submitted job (requires --service; "
-        "FIFO within a class, higher classes scheduled first)",
-    )
-    parser.add_argument(
         "--version",
         action="version",
         version=version_blurb(),
@@ -213,29 +196,14 @@ def guard_from_args(args: argparse.Namespace):
     return GuardConfig(mode=mode, dir=getattr(args, "obs", None))
 
 
-def service_from_args(args: argparse.Namespace):
-    """Build the :class:`repro.service.client.ServiceSpec` ``--service`` names.
-
-    Returns ``None`` when ``--service`` was not given (local execution,
-    the default). Imported lazily so CLIs never load the service package
-    unless a daemon is actually in play.
-    """
-    url = getattr(args, "service", None)
-    if url is None:
-        return None
-    from repro.service.client import ServiceSpec
-
-    return ServiceSpec(url=url, priority=getattr(args, "priority", "normal"))
-
-
 def common_from_args(args: argparse.Namespace) -> dict:
     """The shared run() keyword arguments described by the common flags.
 
     Every figure CLI's ``main`` is now the one-liner
     ``run(effort=parse_effort(args.effort), seed=args.seed,
     **common_from_args(args))`` — the execution-policy plumbing (jobs,
-    cache, fault policy, obs, guard, topology, service routing) is
-    assembled here so the nine CLIs cannot drift apart.
+    cache, fault policy, obs, guard, topology) is assembled here so the
+    nine CLIs cannot drift apart.
     """
     return {
         "jobs": getattr(args, "jobs", 1),
@@ -244,7 +212,6 @@ def common_from_args(args: argparse.Namespace) -> dict:
         "obs": obs_from_args(args),
         "guard": guard_from_args(args),
         "topology": getattr(args, "topology", "mesh"),
-        "service": service_from_args(args),
     }
 
 

@@ -128,7 +128,6 @@ def compare_schemes(
     jobs: int = 1,
     cache=None,
     policy: FaultPolicy | None = None,
-    service=None,
 ) -> FigureResult:
     """Mean APL reduction vs ``baseline`` per scheme, with CIs across seeds.
 
@@ -149,7 +148,7 @@ def compare_schemes(
         for seed in seeds
     ]
     results, report = run_cells_detailed(
-        cells, jobs=jobs, cache=cache, policy=policy, service=service
+        cells, jobs=jobs, cache=cache, policy=policy
     )
     by_scheme = {
         scheme.key: results[i * len(seeds) : (i + 1) * len(seeds)]
@@ -226,7 +225,6 @@ def main(argv=None) -> int:
         finish,
         parse_effort,
         policy_from_args,
-        service_from_args,
     )
     from repro.experiments.runner import SCHEMES
     from repro.experiments.scenarios import SCENARIO_BUILDERS
@@ -268,7 +266,6 @@ def main(argv=None) -> int:
         jobs=args.jobs,
         cache=args.cache,
         policy=policy_from_args(args),
-        service=service_from_args(args),
     )
     return finish(result)
 

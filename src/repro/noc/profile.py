@@ -58,7 +58,7 @@ def _parse_args(argv):
     parser.add_argument(
         "--sort",
         default="cumulative",
-        choices=sorted(k for k in pstats.SortKey.__members__.values()),
+        choices=sorted(pstats.Stats.sort_arg_dict_default),
         help="pstats sort key for the per-function listing (default cumulative)",
     )
     parser.add_argument(

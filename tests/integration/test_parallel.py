@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro.experiments.cache import ResultCache, cache_key
 from repro.experiments.chaos import chaos_cell
 from repro.experiments.fig09_msp import run as fig09_run
 from repro.experiments.parallel import (
@@ -57,6 +58,35 @@ class TestCellEngine:
         cell = Cell.for_scenario(SCHEMES["RO_RR"], two_app_msp(0.5), Effort.SMOKE, 1)
         with pytest.raises(ConfigError, match="jobs"):
             run_cells([cell], jobs=0)
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_on_result_fires_once_per_cell_resumed_first(self, jobs, tmp_path):
+        scenario = two_app_msp(0.5)
+        cells = [
+            Cell.for_scenario(SCHEMES["RO_RR"], scenario, Effort.SMOKE, seed)
+            for seed in range(4)
+        ]
+        seen = []
+        cold, _ = run_cells_detailed(
+            cells, jobs=jobs, cache=tmp_path, on_result=seen.append
+        )
+        assert sorted(r.index for r in seen) == [0, 1, 2, 3]
+        assert {r.index: r for r in seen} == dict(enumerate(cold))
+
+        # Evict two journaled cells: the re-run restores the other two from
+        # the journal and re-simulates the evicted pair.
+        store = ResultCache(tmp_path)
+        for i in (1, 2):
+            store.path_for(cache_key(cells[i])).unlink()
+        seen = []
+        warm, report = run_cells_detailed(
+            cells, jobs=jobs, cache=tmp_path, on_result=seen.append
+        )
+        assert report.resumed == 2
+        assert sorted(r.index for r in seen) == [0, 1, 2, 3]
+        assert [r.resumed for r in seen] == [True, True, False, False]
+        assert {r.index for r in seen[:2]} == {0, 3}
+        assert {r.index: r for r in seen} == dict(enumerate(warm))
 
     def test_run_scenario_cache_round_trip(self, tmp_path):
         scheme = SCHEMES["RA_RAIR"]

@@ -7,6 +7,7 @@ import json
 import pytest
 
 from repro import RegionMap, build_simulation
+from repro._version import __version__
 from repro.noc.config import NocConfig
 from repro.noc.topology import MeshTopology
 from repro.noc.trace import RecordingTrace
@@ -114,6 +115,8 @@ class TestCollectedStream:
         # through a real finalize-to-disk pass instead.
         assert records[0]["kind"] == "header"
         assert records[0]["schema"] == SCHEMA_VERSION
+        assert records[0]["repro_version"] == __version__
+        assert "git_rev" in records[0]
         assert records[1]["kind"] == "dpa_init"
         assert res.obs.dpa_flips == sum(res.obs.dpa_flips_by_node.values())
         assert res.obs.latency["native"]["count"] > 0

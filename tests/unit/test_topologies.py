@@ -232,18 +232,6 @@ class TestNocConfigTopology:
 
 
 class TestDeprecatedModuleConstants:
-    def test_num_ports_warns_but_works(self):
-        import repro.noc as noc
-
-        with pytest.warns(DeprecationWarning, match="Topology"):
-            assert noc.NUM_PORTS == 5
-
-    def test_opposite_warns_but_works(self):
-        import repro.noc as noc
-
-        with pytest.warns(DeprecationWarning, match="Topology"):
-            assert noc.OPPOSITE[EAST] == WEST
-
     def test_unknown_attribute_still_raises(self):
         import repro.noc as noc
 

@@ -53,10 +53,3 @@ class TestVersionFlag:
         assert exc.value.code == 0
         out = capsys.readouterr().out
         assert __version__ in out
-
-    def test_stamp_carries_version(self):
-        from repro.service.protocol import stamp
-
-        fields = stamp()
-        assert fields["repro_version"] == __version__
-        assert "git_rev" in fields
