@@ -147,20 +147,3 @@ class ArbitrationPolicy:
 
     def end_network_cycle(self, network, cycle: int) -> None:
         """Called once per cycle after all routers (STC ranking lives here)."""
-
-    def fast_forward_idle(self, network, start: int, stop: int) -> None:
-        """Replay the net effect of ``end_network_cycle`` over idle cycles.
-
-        The simulator's fast-forward path skips cycles ``[start, stop)``
-        during which the network is provably idle (no flits buffered or in
-        flight, no pending credits). A policy whose ``end_network_cycle``
-        is a no-op inherits this no-op and is skippable for free. A policy
-        that *does* keep per-cycle state must override this to apply, in
-        O(1) with respect to the gap length, exactly the state changes its
-        ``end_network_cycle`` would have made on each skipped cycle — the
-        simulator only calls it when no flit moved in the gap, so counters
-        derived from traffic see zero deltas. Policies that cannot express
-        their idle-gap effect this way must not override it AND must
-        override ``end_network_cycle``; the simulator then detects the
-        combination and falls back to naive per-cycle ticking.
-        """

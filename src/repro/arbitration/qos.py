@@ -133,16 +133,6 @@ class WeightedQosPolicy(ArbitrationPolicy):
             self._frame_start = dict(network.app_flits_delivered)
             self._rebuild_budgets()
 
-    def fast_forward_idle(self, network, start: int, stop: int) -> None:
-        # No flit is delivered during an idle gap, so every frame boundary
-        # inside it takes the same delivered-counter snapshot and rebuilds
-        # the same budgets — one application covers the whole gap.
-        m = self.frame_cycles
-        k = max(start, 1)
-        k += (-k) % m
-        if k < stop:
-            self.end_network_cycle(network, k)
-
 
 class RairQosPolicy(RairPolicy):
     """RAIR layered under a weighted-bandwidth guarantee.
@@ -176,9 +166,3 @@ class RairQosPolicy(RairPolicy):
     def end_network_cycle(self, network, cycle: int) -> None:
         super().end_network_cycle(network, cycle)
         self.qos.end_network_cycle(network, cycle)
-
-    def fast_forward_idle(self, network, start: int, stop: int) -> None:
-        # RairPolicy keeps no end-of-cycle network state (DPA lives in
-        # end_router_cycle, which never runs while idle); only the QoS
-        # component's frame roll-over needs replaying.
-        self.qos.fast_forward_idle(network, start, stop)

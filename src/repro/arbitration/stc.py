@@ -87,18 +87,3 @@ class StcPolicy(ArbitrationPolicy):
         # for intensive apps. Stable sort on app id keeps ties deterministic.
         ordered = sorted(delta, key=lambda app: (delta[app], app))
         self.ranks = {app: i for i, app in enumerate(ordered)}
-
-    def fast_forward_idle(self, network, start: int, stop: int) -> None:
-        # Rank boundaries inside an idle gap are NOT all equivalent: the
-        # first one ranks on the real deltas accumulated before the gap;
-        # the second sees zero injection since then and re-ranks every app
-        # to (delta=0 -> app-id order). Third and later boundaries repeat
-        # the second exactly, so applying the first two reproduces the
-        # naive loop's end state for a gap of any length.
-        m = self.rank_interval
-        k = max(start, 1)
-        k += (-k) % m
-        if k < stop:
-            self.end_network_cycle(network, k)
-            if k + m < stop:
-                self.end_network_cycle(network, k + m)

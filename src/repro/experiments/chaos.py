@@ -46,6 +46,7 @@ import time
 
 from repro.experiments.scenarios import Scenario, ScenarioSpec
 from repro.noc.config import NocConfig
+from repro.noc.flit import Packet
 from repro.noc.topology import make_topology
 from repro.traffic.patterns import UniformPattern
 from repro.traffic.synthetic import FixedLength, SyntheticTrafficSource
@@ -177,8 +178,7 @@ class _GuardFaultSource:
 
     Ticks run inside :meth:`Simulator.step` before injections and router
     phases, so the corruption lands mid-simulation exactly like a real
-    bug would. Deliberately has no ``next_injection_cycle``: its presence
-    disables idle fast-forward, so every cycle actually ticks.
+    bug would.
     """
 
     def __init__(self, fault: str, at_cycle: int, freeze_node: int = 5):
@@ -271,7 +271,7 @@ class _GuardFaultSource:
             (a, port_a, b, port_b, b),
         ):
             for vc in range(cfg.total_vcs):
-                pkt = net.alloc_packet(
+                pkt = Packet(
                     src=dst, dst=dst, length=length, inject_cycle=cycle,
                     vnet=cfg.vc_vnet(vc),
                 )

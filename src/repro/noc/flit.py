@@ -20,7 +20,6 @@ import itertools
 __all__ = [
     "MessageClass",
     "Packet",
-    "PacketPool",
     "SHORT_PACKET_FLITS",
     "LONG_PACKET_FLITS",
 ]
@@ -85,7 +84,6 @@ class Packet:
         "reply_length",
         "reply_latency",
         "hops",
-        "in_pool",
     )
 
     def __init__(
@@ -101,31 +99,6 @@ class Packet:
         reply_length: int = 0,
         reply_latency: int = 0,
     ):
-        self.init(
-            src, dst, length, inject_cycle, app_id, vnet,
-            is_global, is_adversarial, reply_length, reply_latency,
-        )
-
-    def init(
-        self,
-        src: int,
-        dst: int,
-        length: int,
-        inject_cycle: int,
-        app_id: int = -1,
-        vnet: int = 0,
-        is_global: bool = False,
-        is_adversarial: bool = False,
-        reply_length: int = 0,
-        reply_latency: int = 0,
-    ) -> "Packet":
-        """(Re)initialise every field in place.
-
-        Used both by ``__init__`` and by :class:`PacketPool` when recycling
-        an ejected packet object. The ``pid`` is always freshly drawn —
-        recycled objects are *new* packets to every consumer keyed on pid
-        (trace events, coherence continuations).
-        """
         self.pid = next(_packet_ids)
         self.src = src
         self.dst = dst
@@ -138,8 +111,6 @@ class Packet:
         self.reply_length = reply_length
         self.reply_latency = reply_latency
         self.hops = 0
-        self.in_pool = False
-        return self
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         kind = "G" if self.is_global else "R"
@@ -148,75 +119,3 @@ class Packet:
             f"Packet(#{self.pid} app{self.app_id}{adv} {self.src}->{self.dst} "
             f"len={self.length} vnet={self.vnet} t={self.inject_cycle} {kind})"
         )
-
-
-class PacketPool:
-    """Free list of ejected :class:`Packet` objects.
-
-    Packets are the one per-event allocation left on the kernel's hot path
-    (flits are implicit — see the module docstring). A network owns one
-    pool: ejection returns the packet object here (after the ejection
-    callbacks ran — the release contract is that callbacks copy what they
-    need and never retain the object), and traffic sources draw from it via
-    ``Network.alloc_packet``, re-initialising in place through
-    :meth:`Packet.init` with a fresh pid.
-
-    ``hits`` / ``allocs`` count recycled vs freshly constructed packets;
-    they surface in :class:`~repro.noc.stats.RunMetrics`. The pool is
-    bounded so a drained burst cannot pin unbounded memory.
-    """
-
-    __slots__ = ("_free", "max_size", "hits", "allocs")
-
-    def __init__(self, max_size: int = 4096):
-        self._free: list[Packet] = []
-        self.max_size = max_size
-        self.hits = 0
-        self.allocs = 0
-
-    def __len__(self) -> int:
-        return len(self._free)
-
-    def alloc(
-        self,
-        src: int,
-        dst: int,
-        length: int,
-        inject_cycle: int,
-        app_id: int = -1,
-        vnet: int = 0,
-        is_global: bool = False,
-        is_adversarial: bool = False,
-        reply_length: int = 0,
-        reply_latency: int = 0,
-    ) -> Packet:
-        """A packet with the given fields — recycled if the pool has one."""
-        free = self._free
-        if free:
-            self.hits += 1
-            return free.pop().init(
-                src, dst, length, inject_cycle, app_id, vnet,
-                is_global, is_adversarial, reply_length, reply_latency,
-            )
-        self.allocs += 1
-        return Packet(
-            src, dst, length, inject_cycle, app_id, vnet,
-            is_global, is_adversarial, reply_length, reply_latency,
-        )
-
-    def release(self, pkt: Packet) -> None:
-        """Return an ejected packet's object for reuse (idempotence-guarded)."""
-        if pkt.in_pool:
-            return  # already released; never hand the same object out twice
-        pkt.in_pool = True
-        if len(self._free) < self.max_size:
-            self._free.append(pkt)
-
-    def free_packets(self) -> tuple[Packet, ...]:
-        """Snapshot of the free list (for the guard's pool-safety check).
-
-        Every packet here must carry ``in_pool=True`` — a free-list entry
-        with the flag clear means something re-initialised a pooled object
-        without drawing it through :meth:`alloc`.
-        """
-        return tuple(self._free)

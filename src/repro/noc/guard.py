@@ -17,8 +17,6 @@ verification layer with three parts:
   buffer depth, exactly;
 * *packet conservation* — ``packets_in_flight`` equals the number of
   distinct live packets (queued, resident, or in-flight head flits);
-* *pool-reinjection safety* — no live packet is flagged ``in_pool`` and
-  every free-list entry is;
 * *dateline legality* (wrap fabrics) — every cached escape class matches
   the dateline rule for the packet's position, and every escape-VC hop in
   progress uses a VC of its hop's class;
@@ -87,7 +85,6 @@ _LABELS = {
     "credit_conservation": "CreditConservation",
     "flit_conservation": "FlitConservation",
     "packet_conservation": "PacketConservation",
-    "pool_safety": "PoolSafety",
     "dateline": "Dateline",
 }
 
@@ -287,12 +284,6 @@ class RuntimeGuard:
                         cycle, net, "flit_conservation",
                         f"{where} is IDLE but packet #{pkt.pid} is resident",
                     )
-                if pkt.in_pool:
-                    self._violate(
-                        cycle, net, "pool_safety",
-                        f"packet #{pkt.pid} resident at {where} is marked "
-                        f"in_pool — a pooled object is live in the network",
-                    )
                 if not 0 <= invc.flits_sent <= invc.flits_recv <= pkt.length:
                     self._violate(
                         cycle, net, "flit_conservation",
@@ -375,19 +366,9 @@ class RuntimeGuard:
             for queue in node_queues:
                 for pkt in queue:
                     live.add(pkt.pid)
-                    if pkt.in_pool:
-                        self._violate(
-                            cycle, net, "pool_safety",
-                            f"queued packet #{pkt.pid} is marked in_pool",
-                        )
         for _, _, _, _, pkt in net.scheduled_arrivals():
             if pkt is not None:
                 live.add(pkt.pid)
-                if pkt.in_pool:
-                    self._violate(
-                        cycle, net, "pool_safety",
-                        f"in-flight packet #{pkt.pid} is marked in_pool",
-                    )
         if len(live) != net.packets_in_flight:
             self._violate(
                 cycle, net, "packet_conservation",
@@ -395,14 +376,6 @@ class RuntimeGuard:
                 f"{len(live)} distinct packet(s) are queued, resident, or "
                 f"in flight",
             )
-        pool = getattr(net, "packet_pool", None)
-        if pool is not None:
-            for pkt in pool.free_packets():
-                if not pkt.in_pool:
-                    self._violate(
-                        cycle, net, "pool_safety",
-                        f"free-list packet #{pkt.pid} lost its in_pool flag",
-                    )
 
     def _check_dateline(self, cycle: int, net) -> None:
         topo = net.topology

@@ -32,7 +32,6 @@ import numpy as np
 
 from repro.core.regions import RegionMap
 from repro.noc.config import NocConfig
-from repro.noc.flit import PacketPool
 from repro.noc.router import Router
 from repro.noc.stats import NetworkStats
 from repro.noc.topology import LOCAL, make_topology
@@ -152,9 +151,6 @@ class Network:
         # Running total of flits buffered chip-wide (== sum(occupancy),
         # maintained incrementally so the per-cycle watchdog check is O(1)).
         self.buffered_total = 0
-        # Free list of ejected packet objects (see PacketPool): traffic
-        # sources draw from it through alloc_packet, ejection returns to it.
-        self.packet_pool = PacketPool()
         # Measurement-window accounting (set by Simulator.run_measurement);
         # lets the drain phase know when every window packet has retired
         # without rescanning the ejection log.
@@ -193,22 +189,8 @@ class Network:
         self.window_ejected = 0
 
     # -- injection -------------------------------------------------------------------
-    def alloc_packet(self, *args, **kwargs):
-        """A packet built from the free-list pool (fields as ``Packet``).
-
-        The hot-path allocation entry point for traffic sources: reuses an
-        ejected packet object when one is available (re-initialised in
-        place with a fresh pid), otherwise constructs a new one.
-        """
-        return self.packet_pool.alloc(*args, **kwargs)
-
     def inject(self, pkt) -> None:
         """Queue a packet at its source node."""
-        if pkt.in_pool:
-            raise SimulationError(
-                f"{pkt!r} was already ejected and returned to the packet "
-                f"pool; stale references must not be re-injected"
-            )
         if not 0 <= pkt.src < self.topology.num_nodes:
             raise SimulationError(f"{pkt!r} has invalid source")
         if not 0 <= pkt.dst < self.topology.num_nodes:
@@ -301,23 +283,6 @@ class Network:
                 self.congestion_cap,
                 out=self.congestion,
             )
-
-    def skip_idle_cycles(self, start: int, stop: int) -> None:
-        """Apply the network-side effects of ticking idle cycles ``[start, stop)``.
-
-        Called by the simulator's fast-forward after it has proven the
-        range idle (no packets in flight, queued, or scheduled). The only
-        per-cycle network work that is not trivially a no-op on an idle
-        chip is the periodic congestion refresh; with every ``occupancy``
-        entry zero the refresh writes all-zero levels, and repeating it is
-        idempotent — so one refresh stands in for however many boundaries
-        the range contained, keeping DBAR's snapshot bit-identical to
-        naive ticking.
-        """
-        if self._congestion_live:
-            boundary = start + (-start) % self.congestion_period
-            if boundary < stop:
-                self.refresh_congestion(boundary)
 
     def deliver_events(self, cycle: int) -> None:
         """Apply all flit arrivals and credit returns scheduled for ``cycle``."""
@@ -445,10 +410,6 @@ class Network:
                     self.window_ejected += 1
                 for cb in self.eject_callbacks:
                     cb(pkt, eject_cycle)
-                # Terminal point of a packet's life: stats copied its
-                # fields, callbacks ran — the object itself goes back to
-                # the pool for the next alloc_packet to re-initialise.
-                self.packet_pool.release(pkt)
         else:
             credits = router.out_credits[out_port]
             credits[out_vc] -= 1

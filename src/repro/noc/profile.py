@@ -5,7 +5,6 @@ Usage::
     python -m repro.noc.profile                       # default workload
     python -m repro.noc.profile --scheme RA_RAIR --effort MEDIUM
     python -m repro.noc.profile --sort tottime --top 30 --out profile.txt
-    python -m repro.noc.profile --naive               # fast-forward off
 
 Profiles one scheme × scenario measurement (the same
 ``run_scenario`` pipeline the experiment suite uses) under ``cProfile``
@@ -69,11 +68,6 @@ def _parse_args(argv):
         default=None,
         help="also write the text report to this file",
     )
-    parser.add_argument(
-        "--naive",
-        action="store_true",
-        help="disable idle-cycle fast-forward (profile the naive tick loop)",
-    )
     return parser.parse_args(argv)
 
 
@@ -125,11 +119,6 @@ def main(argv=None) -> int:
     effort = Effort[args.effort]
     scenario = two_app_msp(args.p_inter)
 
-    if args.naive:
-        import os
-
-        os.environ["REPRO_DISABLE_FAST_FORWARD"] = "1"
-
     profiler = cProfile.Profile()
     profiler.enable()
     run = run_scenario(scheme, scenario, effort, seed=args.seed)
@@ -139,7 +128,7 @@ def main(argv=None) -> int:
     stats = pstats.Stats(profiler, stream=buf)
     header = (
         f"profiled {scheme.key} on {run.scenario} at effort {args.effort} "
-        f"(seed {args.seed}, fast-forward {'off' if args.naive else 'on'}): "
+        f"(seed {args.seed}): "
         f"{run.end_cycle} cycles, {run.packets_measured} packets measured"
     )
     print(header, file=buf)

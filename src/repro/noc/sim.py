@@ -23,11 +23,9 @@ packets only.
 
 from __future__ import annotations
 
-import os
 import time
 from dataclasses import dataclass, field
 
-from repro.arbitration.base import ArbitrationPolicy
 from repro.noc.network import Network
 from repro.noc.stats import RunMetrics
 from repro.util.errors import ConfigError, DeadlineError, GuardError, SimulationError
@@ -51,7 +49,7 @@ class MeasurementResult:
     trip instead carries the guard's classified reason — ``"deadlock"``,
     ``"livelock"``, ``"starvation"``, or one of the conservation tokens
     (``"credit_conservation"`` / ``"flit_conservation"`` /
-    ``"packet_conservation"`` / ``"pool_safety"`` / ``"dateline"``).
+    ``"packet_conservation"`` / ``"dateline"``).
     ``undrained_packets`` alone cannot tell these apart.
     """
 
@@ -87,22 +85,10 @@ class Simulator:
     #: a full stall is classified by the movement watchdog first.
     EJECT_WATCHDOG_CYCLES = 10_000
 
-    def __init__(
-        self,
-        network: Network,
-        traffic_sources=(),
-        fast_forward: bool | None = None,
-    ):
+    def __init__(self, network: Network, traffic_sources=()):
         self.network = network
         self.traffic_sources = list(traffic_sources)
         self.cycle = 0
-        # Idle-cycle fast-forward (see _run_to): None resolves to on unless
-        # the REPRO_DISABLE_FAST_FORWARD environment variable is set — the
-        # escape hatch the bit-identity tests use for their naive arm, and
-        # it propagates into experiment worker processes for free.
-        if fast_forward is None:
-            fast_forward = not os.environ.get("REPRO_DISABLE_FAST_FORWARD")
-        self.fast_forward = bool(fast_forward)
         self._last_moved = 0
         self._last_progress_cycle = 0
         self._last_ejected = 0
@@ -165,98 +151,14 @@ class Simulator:
         """
         deadline = self.deadline_cycle
         end = self.cycle + cycles
-        if deadline is not None and end > deadline:
-            self._run_to(deadline)
+        stop = end if deadline is None or end <= deadline else deadline
+        while self.cycle < stop:
+            self.step()
+        if stop < end:
             raise DeadlineError(
                 f"cycle budget exhausted at cycle {self.cycle} "
                 f"(deadline {deadline}, {cycles} more cycles requested)"
             )
-        self._run_to(end)
-
-    def _ff_eligible(self) -> bool:
-        """Whether fast-forward may engage with the installed sources/policy.
-
-        Two provability requirements (checked per :meth:`_run_to` call —
-        sources can be added between runs):
-
-        * every traffic source exposes ``next_injection_cycle`` (the
-          lookahead that replays the naive per-cycle RNG draw order, so
-          closed-loop sources like the PARSEC model simply opt out), and
-        * the arbitration policy is idle-invariant: either it keeps the
-          base no-op ``end_network_cycle``, or it overrides
-          ``fast_forward_idle`` to replay its (idempotent-during-idle)
-          boundary work over a skipped range.
-        """
-        for source in self.traffic_sources:
-            if not hasattr(source, "next_injection_cycle"):
-                return False
-        # getattr, not attribute access: duck-typed policies (test fakes)
-        # need not inherit the base class — they fall back to naive ticking
-        # unless they provide the hook themselves.
-        pol = type(self.network.policy)
-        if getattr(pol, "end_network_cycle", None) is ArbitrationPolicy.end_network_cycle:
-            return True
-        ffi = getattr(pol, "fast_forward_idle", None)
-        return ffi is not None and ffi is not ArbitrationPolicy.fast_forward_idle
-
-    def _run_to(self, end: int) -> None:
-        """Advance to cycle ``end``, fast-forwarding provably idle gaps.
-
-        When the network is idle (nothing queued, buffered, scheduled, or
-        in flight) the only event that can change its state is a future
-        injection, so the clock may jump straight to the earliest of: the
-        next injection any source will produce (each source scans forward
-        consuming its RNG in exactly the naive per-cycle order and buffers
-        the packets it builds — see
-        ``SyntheticTrafficSource.next_injection_cycle``), the next
-        observability sample (taken at the identical cycle with identical
-        idle state, keeping the JSONL stream byte-identical), or ``end``
-        itself. Skipped-range bookkeeping (congestion refresh, policy
-        boundaries, watchdog progress marks) reproduces the naive per-cycle
-        loop's end state exactly — the fast-forwarded simulation is
-        bit-identical, just never pays for empty cycles.
-        """
-        if not (self.fast_forward and self._ff_eligible()):
-            while self.cycle < end:
-                self.step()
-            return
-        net = self.network
-        idle = net.idle
-        sources = self.traffic_sources
-        metrics = self.metrics
-        while self.cycle < end:
-            if idle():
-                cycle = self.cycle
-                target = end
-                obs = self.obs
-                if obs is not None:
-                    ns = obs.next_sample
-                    if ns <= cycle:
-                        target = cycle  # sample due now: tick normally
-                    elif ns < target:
-                        target = ns
-                for source in sources:
-                    if target <= cycle:
-                        break
-                    nxt = source.next_injection_cycle(cycle, target, net)
-                    if nxt is not None and nxt < target:
-                        target = nxt
-                if target > cycle:
-                    net.skip_idle_cycles(cycle, target)
-                    net.policy.fast_forward_idle(net, cycle, target)
-                    # Watchdog end state of ticking idle cycles naively:
-                    # every one of them resets the progress marks (an idle
-                    # network has no packets in flight, so the ejection
-                    # mark resets every cycle too).
-                    self._last_moved = net.flits_moved
-                    self._last_progress_cycle = target - 1
-                    self._last_ejected = net.packets_ejected
-                    self._last_eject_cycle = target - 1
-                    metrics.ff_jumps += 1
-                    metrics.ff_cycles_skipped += target - cycle
-                    self.cycle = target
-                    continue
-            self.step()
 
     def run_until_drained(self, limit: int) -> bool:
         """Step until the network is idle; returns False if ``limit`` hit."""
@@ -402,13 +304,6 @@ class Simulator:
             obs_summary = obs.finalize(self.cycle)
             self.metrics.obs_samples = obs.samples_taken
             self.metrics.obs_events = obs.events_recorded
-        # Pool counters are per-network totals; for the standard
-        # one-measurement-per-simulator pattern they are this run's numbers.
-        # (getattr: duck-typed fake networks in tests carry no pool.)
-        pool = getattr(net, "packet_pool", None)
-        if pool is not None:
-            self.metrics.pool_hits = pool.hits
-            self.metrics.pool_allocs = pool.allocs
         return MeasurementResult(
             warmup=warmup,
             measure=measure,

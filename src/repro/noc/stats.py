@@ -46,14 +46,6 @@ class RunMetrics:
     #: observability events recorded during the run (DPA flips + per-class
     #: latency observations)
     obs_events: int = 0
-    #: idle-gap jumps the fast-forward path took, and the total cycles it
-    #: skipped (0 = naive ticking or a workload with no idle gaps)
-    ff_jumps: int = 0
-    ff_cycles_skipped: int = 0
-    #: packet allocations served from the network's free-list pool vs
-    #: freshly constructed (per-network totals at measurement end)
-    pool_hits: int = 0
-    pool_allocs: int = 0
 
     @property
     def cycles_per_sec(self) -> float:
@@ -89,10 +81,6 @@ class RunMetrics:
         self.attempts = 1
         self.obs_samples = 0
         self.obs_events = 0
-        self.ff_jumps = 0
-        self.ff_cycles_skipped = 0
-        self.pool_hits = 0
-        self.pool_allocs = 0
 
     def snapshot(self) -> "RunMetrics":
         """Independent copy of the current counters.
@@ -110,10 +98,6 @@ class RunMetrics:
             attempts=self.attempts,
             obs_samples=self.obs_samples,
             obs_events=self.obs_events,
-            ff_jumps=self.ff_jumps,
-            ff_cycles_skipped=self.ff_cycles_skipped,
-            pool_hits=self.pool_hits,
-            pool_allocs=self.pool_allocs,
         )
 
     # -- serialization (result cache / FigureResult output) ------------------
@@ -128,10 +112,6 @@ class RunMetrics:
             "attempts": self.attempts,
             "obs_samples": self.obs_samples,
             "obs_events": self.obs_events,
-            "ff_jumps": self.ff_jumps,
-            "ff_cycles_skipped": self.ff_cycles_skipped,
-            "pool_hits": self.pool_hits,
-            "pool_allocs": self.pool_allocs,
         }
 
     @classmethod
@@ -147,10 +127,6 @@ class RunMetrics:
             attempts=int(d.get("attempts", 1)),
             obs_samples=int(d.get("obs_samples", 0)),
             obs_events=int(d.get("obs_events", 0)),
-            ff_jumps=int(d.get("ff_jumps", 0)),
-            ff_cycles_skipped=int(d.get("ff_cycles_skipped", 0)),
-            pool_hits=int(d.get("pool_hits", 0)),
-            pool_allocs=int(d.get("pool_allocs", 0)),
         )
 
 

@@ -119,4 +119,13 @@ class RegionalAppTraffic(SyntheticTrafficSource):
             is_global = self.region_map.is_global_pair(src, dst)
         if dst == src:
             return None
-        return self._new_packet(src, dst, self.lengths(rng), cycle, is_global)
+        return Packet(
+            src=src,
+            dst=dst,
+            length=self.lengths(rng),
+            inject_cycle=cycle,
+            app_id=self.app_id,
+            vnet=self.vnet,
+            is_global=is_global,
+            is_adversarial=self.adversarial,
+        )

@@ -8,25 +8,10 @@ open-loop injection model. Packet lengths follow the paper's bimodal mix
 
 Sources also keep per-window injection counters so experiment code can
 verify drain completeness and offered-vs-accepted load.
-
-Fast-forward lookahead
-----------------------
-
-:meth:`SyntheticTrafficSource.next_injection_cycle` lets the simulator
-skip provably idle gaps: it scans forward cycle by cycle consuming the
-RNG in *exactly* the order the naive per-cycle :meth:`tick` would (one
-length-``len(nodes)`` Bernoulli vector per active cycle, then one
-``make_packet`` per firing node in ascending node order), buffering any
-packets it builds. A later ``tick`` on an already-scanned cycle injects
-the buffered packets without touching the RNG, so a fast-forwarded run is
-bit-identical to a naive one. The simulator never jumps past a buffered
-injection (the lookahead's return value caps the jump), so buffered
-packets cannot be skipped over.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from collections.abc import Sequence
 
 import numpy as np
@@ -144,123 +129,47 @@ class SyntheticTrafficSource:
         # Plain-int node list: the hot loop indexes it per firing node, and
         # a list of ints avoids a numpy-scalar box + int() per packet.
         self._node_list = [int(x) for x in self.nodes]
-        # Fast-forward lookahead state: cycles < _scanned_until have already
-        # consumed their RNG draws; packets they produced wait in _pending
-        # as (cycle, [packets]) entries until tick() reaches that cycle.
-        self._pending: deque[tuple[int, list[Packet]]] = deque()
-        self._scanned_until = 0
-        # Current network's pool allocator (rebound per tick/scan; None
-        # falls back to direct construction, e.g. under capture_trace).
-        self._alloc = None
-
-    # Lookahead scan block: 512 cycles of Bernoulli vectors per RNG call.
-    _SCAN_BLOCK = 512
+        # Packets built for the cycle next_injection_cycle last returned,
+        # waiting for tick to inject them.
+        self._due: list[Packet] = []
 
     def tick(self, cycle: int, network) -> None:
         """Generate this cycle's packets into the network's source queues."""
-        if cycle < self.start or (self.stop is not None and cycle >= self.stop):
+        if self.next_injection_cycle(cycle, cycle + 1, network) is None:
             return
-        if self.p_packet <= 0.0:
-            return
-        if cycle >= self._scanned_until:
-            # Scan a block ahead so per-cycle ticking amortizes its RNG
-            # draws the same way fast-forward lookahead does. The scan
-            # consumes the stream in exactly naive per-cycle order, so
-            # this changes who draws, never what is drawn.
-            self.next_injection_cycle(cycle, cycle + self._SCAN_BLOCK, network)
-        pending = self._pending
-        if pending and pending[0][0] == cycle:
-            for pkt in pending.popleft()[1]:
-                network.inject(pkt)
-                self.packets_injected += 1
-                self.flits_injected += pkt.length
+        for pkt in self._due:
+            network.inject(pkt)
+            self.packets_injected += 1
+            self.flits_injected += pkt.length
 
     def next_injection_cycle(self, cycle: int, limit: int, network) -> int | None:
-        """Earliest cycle in ``[cycle, limit)`` this source will inject at.
+        """Earliest cycle in ``[cycle, limit)`` at which this source injects.
 
-        Returns ``None`` when the source provably injects nothing before
-        ``limit``. Scanning consumes the RNG exactly as naive ticking
-        would; constructed packets are buffered for the eventual ``tick``
-        (see module docstring). Inactive cycles — before ``start``, at or
-        past ``stop``, or with zero probability — draw nothing in either
-        mode, so the scan watermark moves over them for free.
+        Draws one length-``len(nodes)`` Bernoulli vector per active cycle,
+        then one :meth:`make_packet` per firing node in ascending node
+        order, and stops at the first cycle that yields a packet; those
+        packets are left in ``_due``. Returns ``None`` when no cycle in
+        the range does. Inactive cycles (before ``start``, at or past
+        ``stop``, or with zero probability) draw nothing.
         """
-        pending = self._pending
-        if pending:
-            return pending[0][0]
-        if self.p_packet <= 0.0:
+        p = self.p_packet
+        if p <= 0.0:
             return None
         if self.stop is not None and limit > self.stop:
             limit = self.stop
-        c = max(self._scanned_until, cycle, self.start)
-        if c >= limit:
-            return None
-        self._alloc = getattr(network, "alloc_packet", None)
         rng = self.rng
-        p = self.p_packet
-        n = len(self.nodes)
         nodes = self._node_list
-        # Scan in blocks: one (span, n) draw replaces span per-cycle draws.
-        # Generator.random fills arrays from the bit stream in C order, so
-        # the block consumes exactly the doubles the naive per-cycle vectors
-        # would. When a row fires, make_packet draws must follow *that*
-        # row's vector in the stream — so rewind to the block start and
-        # re-consume only the rows up to the firing one. The span ramps up
-        # geometrically: busy sources fire within a few rows (a big block
-        # would be drawn and mostly thrown away on rewind), idle ones reach
-        # the full block after two steps.
-        span_cap = 16
-        while c < limit:
-            span = min(limit - c, span_cap)
-            span_cap = min(span_cap * 4, self._SCAN_BLOCK)
-            state = rng.bit_generator.state
-            block = rng.random((span, n))
-            hits = np.flatnonzero((block < p).any(axis=1))
-            if not len(hits):
-                c += span
-                self._scanned_until = c
-                continue
-            j = int(hits[0])
-            rng.bit_generator.state = state
-            rng.random((j + 1, n))  # stream now sits just after row j's vector
-            c += j
+        n = len(nodes)
+        for c in range(max(cycle, self.start), limit):
             pkts = []
-            for idx in np.flatnonzero(block[j] < p).tolist():
+            for idx in (rng.random(n) < p).nonzero()[0].tolist():
                 pkt = self.make_packet(nodes[idx], c)
                 if pkt is not None:
                     pkts.append(pkt)
-            self._scanned_until = c + 1
             if pkts:
-                pending.append((c, pkts))
+                self._due = pkts
                 return c
-            c += 1  # every firing node drew dst == src; keep scanning
-        self._scanned_until = limit
         return None
-
-    def _new_packet(self, src: int, dst: int, length: int, cycle: int, is_global: bool) -> Packet:
-        """Construct via the network's packet pool when one is bound."""
-        alloc = self._alloc
-        if alloc is not None:
-            return alloc(
-                src=src,
-                dst=dst,
-                length=length,
-                inject_cycle=cycle,
-                app_id=self.app_id,
-                vnet=self.vnet,
-                is_global=is_global,
-                is_adversarial=self.adversarial,
-            )
-        return Packet(
-            src=src,
-            dst=dst,
-            length=length,
-            inject_cycle=cycle,
-            app_id=self.app_id,
-            vnet=self.vnet,
-            is_global=is_global,
-            is_adversarial=self.adversarial,
-        )
 
     def make_packet(self, src: int, cycle: int) -> Packet | None:
         """Build one packet from ``src`` at ``cycle`` (hook for subclasses)."""
@@ -268,4 +177,13 @@ class SyntheticTrafficSource:
         if dst == src:
             return None
         is_global = bool(self.region_map and self.region_map.is_global_pair(src, dst))
-        return self._new_packet(src, dst, self.lengths(self.rng), cycle, is_global)
+        return Packet(
+            src=src,
+            dst=dst,
+            length=self.lengths(self.rng),
+            inject_cycle=cycle,
+            app_id=self.app_id,
+            vnet=self.vnet,
+            is_global=is_global,
+            is_adversarial=self.adversarial,
+        )

@@ -84,25 +84,6 @@ class TraceTrafficSource:
         self._epoch = 0
         self.packets_injected = 0
 
-    def next_injection_cycle(self, cycle: int, limit: int, network) -> int | None:
-        """Due cycle of the next record if it falls before ``limit``.
-
-        Pure query — replay keeps no RNG, so the fast-forward lookahead
-        needs no scanning or buffering here.
-        """
-        records = self.trace.records
-        n = len(records)
-        if n == 0:
-            return None
-        idx, epoch = self._idx, self._epoch
-        if idx >= n:
-            period = self.trace.duration()
-            if not self.repeat or period == 0:
-                return None
-            idx, epoch = 0, epoch + 1
-        due = int(records[idx]["cycle"]) + self.cycle_offset + epoch * self.trace.duration()
-        return due if due < limit else None
-
     def tick(self, cycle: int, network) -> None:
         """Inject every trace record due at ``cycle``."""
         records = self.trace.records

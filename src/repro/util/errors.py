@@ -37,7 +37,7 @@ class GuardError(SimulationError):
         Machine token for :attr:`MeasurementResult.abort` — one of
         ``deadlock`` / ``livelock`` / ``starvation`` /
         ``credit_conservation`` / ``flit_conservation`` /
-        ``packet_conservation`` / ``pool_safety`` / ``dateline``.
+        ``packet_conservation`` / ``dateline``.
     failure_label:
         CamelCase form the experiment layer renders as
         ``FAILED(<label>)`` (e.g. ``Deadlock``).

@@ -142,6 +142,10 @@ class TestObsCounters:
         legacy = {k: v for k, v in d.items() if not k.startswith("obs_")}
         back = RunMetrics.from_dict(legacy)
         assert back.obs_samples == 0 and back.obs_events == 0
+        # Payloads cached while the simulator had idle fast-forward and a
+        # packet pool carry four counters that no longer exist.
+        retired = dict(d, ff_jumps=3, ff_cycles_skipped=120, pool_hits=40, pool_allocs=8)
+        assert RunMetrics.from_dict(retired) == m
 
     def test_populated_by_an_obs_enabled_run(self):
         from repro.obs import MetricsCollector, ObsConfig
